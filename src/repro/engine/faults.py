@@ -31,13 +31,14 @@ Supported fault kinds:
     The worker calls ``os._exit`` before drawing anything — the parent
     sees ``BrokenProcessPool`` before a shared-memory segment exists.
 ``kill_after_write``
-    The worker dies *after* creating and filling its shared-memory
-    segment but before returning — the segment exists with no owner,
-    the exact leak window the runner's name registry sweep covers.
+    The worker dies *after* filling the shared-memory segment the parent
+    lent it but before returning — the parent unlinks that segment when
+    it recycles the round.
 ``delay``
     The worker sleeps ``delay_s`` before drawing, tripping the parent's
-    per-task deadline (the worker then completes as a zombie; its
-    segment is reclaimed by the sweep).
+    per-task deadline. The worker then runs on as a zombie: its segment
+    was unlinked at recycle, so it fails to attach or writes into a
+    mapping nobody reads, and ``close()`` joins it.
 ``poison``
     The worker corrupts its shared-memory payload after computing the
     checksum of the good draw, so the parent's integrity verification

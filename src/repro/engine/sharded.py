@@ -245,29 +245,14 @@ class ShardedRunner:
     def verify_payloads(self, value: bool) -> None:
         self.policy = replace(self.policy, verify_payloads=bool(value))
 
-    # -- transport delegations (and fork-internals compatibility) ------
+    # -- transport delegations -----------------------------------------
     @property
     def parallel(self) -> bool:
         """True when draws actually fan out to workers."""
         return self.transport.parallel
 
-    @property
-    def _token(self):
-        return getattr(self.transport, "_token", None)
-
-    @property
-    def _segments(self) -> set:
-        return getattr(self.transport, "_segments", set())
-
-    @property
-    def _retired(self) -> list:
-        return getattr(self.transport, "_retired", [])
-
-    def _reap_retired(self) -> int:
-        return self.transport.reap()
-
     def close(self) -> None:
-        """Shut the transport down and sweep its resources.
+        """Shut the transport down and release its resources.
 
         Idempotent, and safe on a transport that never started (a
         serve-mode runner whose first tick never arrived). A closed
@@ -434,8 +419,8 @@ class ShardedRunner:
         ReproError
             Non-fault worker exceptions (a :class:`PrivacyError` from a
             bad epsilon, a :class:`GraphError`) are *not* retried: they
-            propagate after the resource sweep, because re-dispatching a
-            deterministic bug reproduces it.
+            propagate once the round is recycled, because re-dispatching
+            a deterministic bug reproduces it.
         """
         versions = self._check_versions(plan, versions)
         specs = self._build_specs(

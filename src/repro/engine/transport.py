@@ -18,8 +18,8 @@ three layers:
   (``submit(spec) -> future``, ``finalize``, ``recycle``, ``close``,
   capability flags) with three implementations:
   :class:`InlineTransport` (no processes),
-  :class:`ForkTransport` (the PR 5 fork + SharedMemory pool,
-  behavior- and byte-identical to the welded version), and
+  :class:`ForkTransport` (forked workers returning fragments through
+  parent-owned SharedMemory segments), and
   :class:`SocketTransport` (remote workers over TCP speaking the
   length-prefixed frames of :mod:`repro.protocol.wire`, with a
   :class:`WorkerRegistry` tracking liveness and re-dispatching ranges
@@ -39,7 +39,10 @@ same bytes. ``docs/distributed-guide.md`` is the contract document.
 
 from __future__ import annotations
 
+import bisect
+import mmap
 import multiprocessing
+import operator
 import os
 import socket
 import threading
@@ -98,7 +101,7 @@ _BACKOFF_TAG = 0x4241434B
 # Exceptions that classify as *worker faults* — transient, re-dispatchable
 # failures of the execution substrate rather than of the draw itself.
 # Anything else (a PrivacyError from bad epsilon, a GraphError) is a real
-# bug and propagates immediately after the segment sweep. The tuple is
+# bug and propagates immediately after its round is recycled. The tuple is
 # transport-agnostic: a dead fork pool, an expired deadline, a corrupt
 # shm fragment and a refused TCP connection all land in it.
 _WORKER_FAULTS = (
@@ -114,6 +117,10 @@ _WORKER_FAULTS = (
 # so teardown escalates to terminate (then kill) instead of inheriting
 # the hang — close() and interpreter shutdown must stay bounded.
 _JOIN_GRACE_S = 5.0
+
+# Smallest fork-transport segment. Segments are sized to a power of two
+# at or above a fragment's hard bound, so one segment serves many draws.
+_SEGMENT_MIN_BYTES = 1 << 20
 
 _LAYER_TAGS = {Layer.UPPER: 0, Layer.LOWER: 1}
 _TAG_LAYERS = {0: Layer.UPPER, 1: Layer.LOWER}
@@ -150,7 +157,6 @@ def empty_faults() -> dict:
         "payload_errors": 0,  # checksum mismatches on the fragment handoff
         "backoff_s": [],  # keyed-jitter waits before each retry round
         "degraded_ranges": [],  # ranges that fell back to inline execution
-        "reclaimed_segments": 0,  # orphaned shm segments swept and unlinked
     }
 
 
@@ -269,9 +275,8 @@ class ShardTransport:
     A transport answers *how work runs*: it turns a :class:`ShardSpec`
     into a future (``submit``), turns the future's raw value into a
     verified :class:`ShardResult` (``finalize``), recovers from a fault
-    round (``recycle``), reclaims leaked resources (``sweep`` /
-    ``reap``) and shuts down (``close`` — idempotent, and safe on a
-    transport that never started). ``parallel`` is the capability flag
+    round (``recycle``) and shuts down (``close`` — idempotent, and safe
+    on a transport that never started). ``parallel`` is the capability flag
     the driver consults before fanning out at all; ``can_reduce``
     advertises in-worker pairwise reduction.
     """
@@ -309,23 +314,19 @@ class ShardTransport:
         """Turn a future's raw value into a verified :class:`ShardResult`."""
         return raw
 
-    def recycle(self, failed: list[ShardSpec]) -> int:
-        """Recover the substrate after a fault round; returns reclaimed.
+    def recycle(
+        self, failed: list[ShardSpec], *, retire: bool = True
+    ) -> None:
+        """Recover the substrate after a round with unfinished dispatches.
 
         Called with the specs that faulted this round. The fork pool
-        retires and rebuilds; the socket transport drops suspect
-        connections and refreshes liveness. Whatever orphaned resources
-        the recovery reclaims are counted for ``faults``.
+        retires and rebuilds and unlinks the failed dispatches'
+        segments; the socket transport drops suspect connections and
+        refreshes liveness. When a deterministic bug aborts the round,
+        ``retire=False`` passes every spec that had not finished: the
+        workers are healthy, so only the resources lent to those
+        dispatches are released.
         """
-        return 0
-
-    def sweep(self) -> int:
-        """Reclaim leaked resources on the error path; returns reclaimed."""
-        return 0
-
-    def reap(self) -> int:
-        """Opportunistic start-of-draw cleanup; returns reclaimed."""
-        return 0
 
     def close(self) -> None:
         """Release everything. Idempotent; safe if never started."""
@@ -369,26 +370,29 @@ class InlineTransport(ShardTransport):
 
 
 # ----------------------------------------------------------------------
-# Fork transport (the PR 5/6 pool, carved out behavior-identical)
+# Fork transport: forked workers, parent-owned shared-memory returns
 # ----------------------------------------------------------------------
 def _fork_run_spec(token: int, spec: ShardSpec, shm_name: str | None) -> tuple:
     """Execute a spec in a forked worker; ship columns through shm.
 
-    Fragment results return ``("shm", indptr, name, n_ids, sizes, n1,
-    backend, peak, checksum)`` — the columns land in a ``SharedMemory``
-    block *created under the parent-chosen name* (shipping multi-MB
+    Fragment results write their columns into the ``SharedMemory``
+    segment the parent lent this dispatch and return ``("shm", indptr,
+    n_ids, sizes, n1, backend, peak, checksum)`` (shipping multi-MB
     fragments through the result pipe interleaves 64 KiB reads with the
     other workers' compute; an shm handoff is one parent-side memcpy).
+    The worker only attaches and writes — it never creates or unlinks a
+    segment — so a worker that dies, or wakes after its deadline, cannot
+    leak one: the parent unlinked its segment at ``recycle``, and the
+    late worker fails to attach or writes into a mapping nobody reads.
     Reduced results are small and return straight through the pipe as
     ``("pipe", sizes, n1, backend, peak, checksum)`` with a CRC over
     ``sizes + n1``.
 
-    The chaos hook keys on ``(spec.shard, spec.attempt)`` exactly as the
-    welded runner's did: kill/delay fire before the draw, poison
-    corrupts the transported payload *after* its checksum was taken from
-    the good draw (so parent verification must catch it), and
-    kill_after_write exits in the leak window the segment registry
-    sweep covers.
+    The chaos hook keys on ``(spec.shard, spec.attempt)``: kill/delay
+    fire before the draw, poison corrupts the transported payload
+    *after* its checksum was taken from the good draw (so parent
+    verification must catch it), and kill_after_write exits after the
+    segment was written but before the parent hears back.
     """
     graph, layer = _WORKER_CONTEXTS[token]
     plan = FaultPlan.from_env()
@@ -420,67 +424,72 @@ def _fork_run_spec(token: int, spec: ShardSpec, shm_name: str | None) -> tuple:
         return out
     columns = result.columns
     checksum = _columns_checksum(columns)
-    block = shared_memory.SharedMemory(
-        create=True, name=shm_name, size=max(1, columns.nbytes)
-    )
-    np.ndarray(columns.shape, dtype=np.int64, buffer=block.buf)[:] = columns
-    if poison:
-        if columns.nbytes:
-            view = np.ndarray(columns.shape, dtype=np.int64, buffer=block.buf)
-            view[0] = ~view[0]
-        else:
-            checksum ^= 1
-    block.close()  # parent unlinks after copying
+    block = shared_memory.SharedMemory(name=shm_name)
+    try:
+        view = np.ndarray(columns.shape, dtype=np.int64, buffer=block.buf)
+        view[:] = columns
+        if poison:
+            if columns.size:
+                view[0] = ~view[0]
+            else:
+                checksum ^= 1
+        del view
+    finally:
+        block.close()
     if action is not None and action.kind == "kill_after_write":
-        os._exit(FAULT_EXIT_CODE)  # the leak window the registry sweep covers
+        os._exit(FAULT_EXIT_CODE)
     return (
-        "shm", result.indptr, shm_name, int(columns.size), result.sizes,
+        "shm", result.indptr, int(columns.size), result.sizes,
         result.n1, result.backend, result.peak_bytes, checksum,
     )
 
 
-def _sweep_segments(names: set[str], *, drop_missing: bool) -> int:
-    """Unlink every registered segment that exists; return the count.
+def _release_pages(block: shared_memory.SharedMemory, nbytes: int) -> None:
+    """Hand the first ``nbytes`` of an idle segment's pages back to tmpfs.
 
-    Names whose segment does not (yet) exist are kept in the registry
-    unless ``drop_missing`` — a delayed zombie worker may still create
-    its segment later, and only close() (which joins every worker first)
-    can prove nobody ever will.
+    A reused segment would otherwise keep every page a worker ever wrote
+    in ``/dev/shm`` and in the parent's RSS until close(). Reads the
+    private ``SharedMemory._mmap`` (pinned by
+    ``test_idle_segments_hold_no_pages`` in ``tests/test_faults.py``).
     """
-    reclaimed = 0
-    for name in list(names):
-        try:
-            block = shared_memory.SharedMemory(name=name)
-        except FileNotFoundError:
-            if drop_missing:
-                names.discard(name)
-            continue
-        block.close()
-        try:
-            block.unlink()
-        except FileNotFoundError:  # pragma: no cover - raced another sweep
-            pass
-        names.discard(name)
-        reclaimed += 1
-    return reclaimed
+    if nbytes and hasattr(mmap, "MADV_REMOVE"):  # Linux tmpfs only
+        length = -(-nbytes // mmap.PAGESIZE) * mmap.PAGESIZE
+        block._mmap.madvise(mmap.MADV_REMOVE, 0, length)
 
 
-def _join_pool(pool: ProcessPoolExecutor, grace_s: float | None = None) -> None:
-    """Join a pool's workers under a bounded grace, then force the rest.
+def _unlink(block: shared_memory.SharedMemory) -> None:
+    block.close()
+    try:
+        block.unlink()
+    except FileNotFoundError:  # pragma: no cover - removed from outside
+        pass
 
-    Healthy workers drain and exit within the grace; a permanently
-    wedged one — the stall ``timeout_s`` exists to defend against — is
-    terminated (and, failing that, killed) so close() and interpreter
-    shutdown never inherit the hang.
+
+def _retire_pool(pool: ProcessPoolExecutor) -> list:
+    """Shut a pool down without waiting; return its worker handles.
+
+    ``shutdown()`` drops the pool's handle map, so the handles are read
+    first — the one use of the private ``pool._processes``, pinned by the
+    zombie regression test in ``tests/test_faults.py``. Without them a
+    stalled worker of a retired pool could never be joined.
     """
-    if grace_s is None:
-        grace_s = _JOIN_GRACE_S
     procs = list((getattr(pool, "_processes", None) or {}).values())
     try:
         pool.shutdown(wait=False, cancel_futures=True)
     except Exception:  # pragma: no cover - broken pools may object
         pass
-    deadline = time.monotonic() + grace_s
+    return procs
+
+
+def _join_workers(procs: list) -> None:
+    """Join worker processes under a bounded grace, then force the rest.
+
+    Healthy workers drain and exit within :data:`_JOIN_GRACE_S`; a
+    permanently wedged one — the stall ``timeout_s`` exists to defend
+    against — is terminated (and, failing that, killed) so close() and
+    interpreter shutdown never inherit the hang.
+    """
+    deadline = time.monotonic() + _JOIN_GRACE_S
     for proc in procs:
         proc.join(timeout=max(0.0, deadline - time.monotonic()))
     for proc in procs:
@@ -493,40 +502,46 @@ def _join_pool(pool: ProcessPoolExecutor, grace_s: float | None = None) -> None:
 
 
 def _release_fork(
-    token: int, pool_box: list, retired: list, segments: set
+    token: int, pool_box: list, parked: list, free: list, lent: dict
 ) -> None:
-    """Free a fork transport's pools, context registration and segments.
+    """Free a fork transport's workers, context registration and segments.
 
     Shared by :meth:`ForkTransport.close` and the transport's GC
     finalizer, so a transport dropped without ``close()`` cannot pin its
-    graph in ``_WORKER_CONTEXTS``, leave worker processes behind for the
-    interpreter's lifetime, or strand ``/dev/shm`` segments created by
-    zombie workers. Retired pools (torn down with ``wait=False`` after a
-    fault) are joined here under :data:`_JOIN_GRACE_S`, with stragglers
-    terminated, so every would-be segment creator is provably gone —
-    without an unbounded wait — before the final sweep.
+    graph in ``_WORKER_CONTEXTS``, leave worker processes behind, or
+    strand ``/dev/shm`` segments. The live pool's workers and every
+    parked handle of a retired pool are joined (bounded, stragglers
+    terminated), then every segment the parent still owns is unlinked.
     """
+    procs = list(parked)
+    parked.clear()
     pool = pool_box[0]
     if pool is not None:
-        _join_pool(pool)
         pool_box[0] = None
-    for old_pool, _names in retired:
-        _join_pool(old_pool)
-    retired.clear()
+        procs += _retire_pool(pool)
+    _join_workers(procs)
     _WORKER_CONTEXTS.pop(token, None)
-    _sweep_segments(segments, drop_missing=True)
+    for block in [*free, *lent.values()]:
+        _unlink(block)
+    free.clear()
+    lent.clear()
 
 
 class ForkTransport(ShardTransport):
-    """The fork + SharedMemory pool, carved out of ``ShardedRunner``.
+    """Forked workers returning fragments through parent-owned shm.
 
-    Behavior- and byte-identical to the welded PR 5/6 machinery: workers
-    inherit the graph copy-on-write at fork time through the module
-    context registry, fragments return through parent-named shm
-    segments verified by CRC32, suspect pools retire without blocking
-    and are reaped once their workers provably exited, and every
-    parent-issued segment name is registered *before* dispatch so no
-    fault window can leak ``/dev/shm``.
+    Workers inherit the graph copy-on-write at fork time through the
+    module context registry. The parent is the only process that creates
+    or unlinks a ``SharedMemory`` segment: :meth:`submit` lends each
+    fragment dispatch a segment sized to the fragment's hard bound, the
+    worker attaches and writes, :meth:`finalize` copies the fragment out
+    (CRC32-verified), returns its pages to tmpfs and takes the segment
+    back for the next lend, and :meth:`recycle` unlinks every segment
+    lent to a failed dispatch. Names carry the transport's token, so
+    live transports in one process never collide. A suspect pool
+    retires without blocking; its worker handles are parked and joined
+    (bounded) by :meth:`close`, which — like the GC finalizer — also
+    unlinks every remaining segment.
     """
 
     name = "fork"
@@ -544,26 +559,24 @@ class ForkTransport(ShardTransport):
         self._layer: Layer | None = None
         self._token = _NEXT_TOKEN
         _NEXT_TOKEN += 1
-        # The pool lives in a one-slot box so the GC finalizer can free
-        # it without holding a reference to the transport itself; pools
-        # torn down after a fault are parked in `_retired` as
-        # `(pool, names)` — the segment names their zombie workers might
-        # still create — reaped once every worker has exited, and
-        # force-joined (bounded) at close time. `_segments` holds every
-        # parent-issued shm name not yet unlinked.
+        # Everything the GC finalizer frees lives in containers it holds
+        # instead of the transport itself: the pool (a one-slot box), the
+        # worker handles of retired pools still running, the idle
+        # segments (ascending size) and the segment lent to each
+        # in-flight (shard, attempt) dispatch.
         self._pool_box: list = [None]
-        self._retired: list = []
-        self._segments: set[str] = set()
+        self._parked: list = []
+        self._free: list[shared_memory.SharedMemory] = []
+        self._lent: dict[tuple[int, int], shared_memory.SharedMemory] = {}
         self._seq = 0
-        # (shard, attempt) -> segment name for specs in flight this round.
-        self._names: dict[tuple[int, int], str] = {}
         self._finalizer = weakref.finalize(
             self,
             _release_fork,
             self._token,
             self._pool_box,
-            self._retired,
-            self._segments,
+            self._parked,
+            self._free,
+            self._lent,
         )
 
     # -- context ------------------------------------------------------
@@ -583,8 +596,8 @@ class ForkTransport(ShardTransport):
         if prev is not None:
             pool = self._pool_box[0]
             if pool is not None:
-                _join_pool(pool)
                 self._pool_box[0] = None
+                _join_workers(_retire_pool(pool))
         _WORKER_CONTEXTS[self._token] = (graph, layer)
         self._graph, self._layer = graph, layer
 
@@ -599,10 +612,10 @@ class ForkTransport(ShardTransport):
     def _ensure_pool(self) -> ProcessPoolExecutor:
         if self._pool_box[0] is None:
             # Start the shm resource tracker *before* forking so every
-            # worker inherits it: create (worker) and unlink (parent)
-            # then talk to one tracker and nothing is reported leaked.
-            # Sized by the worker cap alone — workers fork lazily on
-            # demand, and sizing by one draw's range count would
+            # worker inherits it: create/unlink (parent) and attach
+            # (worker) then talk to one tracker and nothing is reported
+            # leaked. Sized by the worker cap alone — workers fork lazily
+            # on demand, and sizing by one draw's range count would
             # permanently under-parallelize every later, larger draw.
             resource_tracker.ensure_running()
             self._pool_box[0] = ProcessPoolExecutor(
@@ -611,35 +624,54 @@ class ForkTransport(ShardTransport):
             )
         return self._pool_box[0]
 
-    def _new_segment_name(self, shard: int, attempt: int) -> str:
-        """A fresh parent-owned shm name, registered before dispatch.
+    def _lend(self, spec: ShardSpec) -> shared_memory.SharedMemory:
+        """Lend ``spec``'s dispatch a segment that holds its fragment.
 
-        Including the attempt keeps a retry's segment distinct from one
-        a delayed zombie dispatch of the same shard may create later.
+        Every noisy row is a subset of the opposite layer, so ``rows x
+        domain x 8`` bytes always fit the fragment; tmpfs backs only the
+        pages a worker writes, so the bound costs nothing. The smallest
+        free segment that fits is reused. Otherwise a new segment, rounded
+        up to a power of two, takes the place of the smallest free one —
+        so the parent never holds more segments than one round lends at
+        once; taken-back segments hold no pages, so their bytes do not
+        outlive the draw either.
         """
-        self._seq += 1
-        name = f"repro_{os.getpid():x}_{self._seq:x}_{shard}_{attempt}"
-        self._segments.add(name)
-        return name
+        domain = self._graph.layer_size(self._layer.opposite())
+        need = max(1, int(spec.vertices.size) * domain * 8)
+        index = bisect.bisect_left(
+            self._free, need, key=operator.attrgetter("size")
+        )
+        if index < len(self._free):
+            block = self._free.pop(index)
+        else:
+            if self._free:
+                _unlink(self._free.pop(0))
+            self._seq += 1
+            block = shared_memory.SharedMemory(
+                create=True,
+                name=f"repro_{os.getpid():x}_{self._token:x}_{self._seq:x}",
+                size=max(_SEGMENT_MIN_BYTES, 1 << (need - 1).bit_length()),
+            )
+        self._lent[(spec.shard, spec.attempt)] = block
+        return block
+
+    def _take_back(self, spec: ShardSpec) -> shared_memory.SharedMemory:
+        block = self._lent.pop((spec.shard, spec.attempt))
+        bisect.insort(self._free, block, key=operator.attrgetter("size"))
+        return block
 
     # -- the contract --------------------------------------------------
     def submit(self, spec: ShardSpec) -> Future:
         pool = self._ensure_pool()
-        name = None
-        if spec.want_fragment:
-            name = self._new_segment_name(spec.shard, spec.attempt)
+        name = self._lend(spec).name if spec.want_fragment else None
         try:
-            future = pool.submit(_fork_run_spec, self._token, spec, name)
+            return pool.submit(_fork_run_spec, self._token, spec, name)
         except BrokenProcessPool:
             # The pool died mid-submission: the task never reached a
-            # worker, so nobody can ever create this segment — drop its
-            # name immediately.
+            # worker, so its segment is idle again.
             if name is not None:
-                self._segments.discard(name)
+                self._take_back(spec)
             raise
-        if name is not None:
-            self._names[(spec.shard, spec.attempt)] = name
-        return future
 
     def finalize(
         self, spec: ShardSpec, raw, *, verify: bool = True
@@ -660,23 +692,15 @@ class ForkTransport(ShardTransport):
                 peak_bytes=int(peak),
                 payload_bytes=int(sizes.nbytes + n1.nbytes),
             )
-        _, indptr, shm_name, n_ids, sizes, n1, backend, peak, checksum = raw
-        self._names.pop((spec.shard, spec.attempt), None)
-        block = shared_memory.SharedMemory(name=shm_name)
-        try:
-            columns = np.ndarray(
-                (n_ids,), dtype=np.int64, buffer=block.buf
-            ).copy()
-        finally:
-            block.close()
-            try:
-                block.unlink()
-            except FileNotFoundError:  # pragma: no cover - raced a sweep
-                pass
-            self._segments.discard(shm_name)
+        _, indptr, n_ids, sizes, n1, backend, peak, checksum = raw
+        # The worker has answered, so nobody writes this segment any
+        # more: copy the fragment out and take the segment back.
+        block = self._take_back(spec)
+        columns = np.ndarray((n_ids,), dtype=np.int64, buffer=block.buf).copy()
+        _release_pages(block, columns.nbytes)
         if verify and _columns_checksum(columns) != checksum:
             raise PayloadIntegrityError(
-                f"shard fragment {shm_name!r} failed checksum verification "
+                f"shard {spec.shard} fragment failed checksum verification "
                 f"({n_ids} ids)"
             )
         return ShardResult(
@@ -691,63 +715,35 @@ class ForkTransport(ShardTransport):
             payload_bytes=int(columns.nbytes + sizes.nbytes),
         )
 
-    def recycle(self, failed: list[ShardSpec]) -> int:
-        """Retire the suspect pool and reclaim orphaned segments.
+    def recycle(
+        self, failed: list[ShardSpec], *, retire: bool = True
+    ) -> None:
+        """Unlink the failed dispatches' segments; retire the suspect pool.
 
-        The pool is torn down without waiting (a stuck worker must not
-        block the retry path) and parked with the segment names its
-        zombies might still create; dead retired pools are reaped, and
-        whatever orphaned segments exist now are unlinked.
+        A segment lent to a failed dispatch may still be written by a
+        zombie, so it is unlinked and never lent again. Unless
+        ``retire=False`` (a deterministic error, healthy workers), the
+        pool is shut down without waiting (a stuck worker must not block
+        the retry path); its worker handles are parked for :meth:`close`
+        to join, and handles that already exited are dropped, so a
+        long-running server keeps a bounded list.
         """
-        zombie_names = set()
         for spec in failed:
-            name = self._names.pop((spec.shard, spec.attempt), None)
-            if name is not None:
-                zombie_names.add(name)
+            block = self._lent.pop((spec.shard, spec.attempt), None)
+            if block is not None:
+                _unlink(block)
+        if not retire:
+            return
         pool = self._pool_box[0]
         if pool is not None:
             self._pool_box[0] = None
-            try:
-                pool.shutdown(wait=False, cancel_futures=True)
-            except Exception:  # pragma: no cover - broken pools may object
-                pass
-            self._retired.append((pool, zombie_names))
-        reclaimed = _sweep_segments(self._segments, drop_missing=False)
-        reclaimed += self.reap()
-        return reclaimed
-
-    def sweep(self) -> int:
-        return _sweep_segments(self._segments, drop_missing=False)
-
-    def reap(self) -> int:
-        """Reap retired pools whose workers all exited; returns reclaimed.
-
-        Non-blocking: pools with a still-live worker are kept. A dead
-        pool can never create another segment, so whichever of its
-        registered names exist are unlinked and the still-missing ones
-        leave the registry for good — without this, a long-running
-        server with recurring worker faults would grow ``_segments``
-        without bound (one name per dispatch whose worker died before
-        ``shm.create``).
-        """
-        reclaimed = 0
-        survivors = []
-        for pool, names in self._retired:
-            procs = list((getattr(pool, "_processes", None) or {}).values())
-            if any(proc.is_alive() for proc in procs):
-                survivors.append((pool, names))
-                continue
-            doomed = names & self._segments
-            reclaimed += _sweep_segments(doomed, drop_missing=True)
-            self._segments -= names
-        self._retired[:] = survivors
-        return reclaimed
+            self._parked.extend(_retire_pool(pool))
+        self._parked[:] = [proc for proc in self._parked if proc.is_alive()]
 
     def close(self) -> None:
         _release_fork(
-            self._token, self._pool_box, self._retired, self._segments
+            self._token, self._pool_box, self._parked, self._free, self._lent
         )
-        self._names.clear()
 
 
 # ----------------------------------------------------------------------
@@ -1221,16 +1217,20 @@ class SocketTransport(ShardTransport):
             payload_bytes=int(raw["payload_bytes"]),
         )
 
-    def recycle(self, failed: list[ShardSpec]) -> int:
+    def recycle(
+        self, failed: list[ShardSpec], *, retire: bool = True
+    ) -> None:
         """Drop every suspect connection and heartbeat the cluster.
 
         Connections already faulted were dropped in ``_request``; the
         remaining handles get a PING, and ones that cannot answer are
         marked dead so the next round's round-robin skips them — the
-        deterministic re-dispatch of a dead worker's ranges.
+        deterministic re-dispatch of a dead worker's ranges. A
+        deterministic error (``retire=False``) faults no connection, so
+        there is nothing to probe.
         """
-        self.ping()
-        return 0
+        if retire:
+            self.ping()
 
     def ping(self) -> int:
         """Heartbeat every handle; mark unresponsive workers dead.
@@ -1355,7 +1355,7 @@ def drive(
     ``policy.max_retries`` rounds, after which the survivors degrade to
     inline :func:`execute_spec` with ``attempt = -1``. Non-fault
     exceptions (a PrivacyError from bad epsilon, a GraphError) are *not*
-    retried: they propagate after a resource sweep, because
+    retried: they propagate after the round is recycled, because
     re-dispatching a deterministic bug reproduces it.
 
     Mutates ``faults`` (an :func:`empty_faults` dict) and ``dispatches``
@@ -1363,7 +1363,6 @@ def drive(
     """
     results: dict[int, ShardResult] = {}
     pending: dict[int, ShardSpec] = {spec.shard: spec for spec in specs}
-    faults["reclaimed_segments"] += transport.reap()
 
     if transport.parallel and len(specs) > 1:
         attempt = 0
@@ -1416,12 +1415,17 @@ def drive(
                     faults[_fault_kind(exc)] += 1
                     failed[s] = pending[s]
                 except BaseException:
-                    # A deterministic bug, not a worker fault: sweep the
-                    # substrate's outstanding resources and propagate.
-                    faults["reclaimed_segments"] += transport.sweep()
+                    # A deterministic bug, not a worker fault: release
+                    # the unfinished dispatches' resources, keep the
+                    # healthy workers, and propagate.
+                    transport.recycle(
+                        [a for t, (a, _) in submitted.items()
+                         if t not in results],
+                        retire=False,
+                    )
                     raise
             if failed:
-                faults["reclaimed_segments"] += transport.recycle(
+                transport.recycle(
                     [replace(pending[s], attempt=attempt) for s in failed]
                 )
             pending = failed

@@ -5,14 +5,15 @@ shard task is a pure function of ``(graph, range, epsilon, entropy,
 epoch)``, so killed workers, stalled workers, corrupted payloads — any
 :class:`~repro.engine.faults.FaultPlan` at all — must yield output
 byte-identical to the fault-free keyed pass, charge the privacy ledger
-exactly once, and leave no ``SharedMemory`` segment behind.
+exactly once, and leave no ``SharedMemory`` segment or worker process
+behind.
 """
 
 from __future__ import annotations
 
-import glob
 import os
 import time
+from multiprocessing import shared_memory
 
 import numpy as np
 import pytest
@@ -28,6 +29,8 @@ from repro.graph.generators import random_bipartite
 from repro.graph.sampling import sample_query_pairs
 from repro.privacy.accountant import PrivacyLedger
 from repro.protocol.session import ExecutionMode
+
+from forkcheck import live_workers, shm_residue
 
 EPS = 2.0
 ENTROPY = 20240611
@@ -66,10 +69,26 @@ def no_leftover_plan():
     FaultPlan.uninstall()
 
 
-def shm_residue() -> list[str]:
-    """Runner-created segments currently visible in /dev/shm."""
-    prefix = f"/dev/shm/repro_{os.getpid():x}_"
-    return glob.glob(prefix + "*")
+def idle_segments(runner) -> list[str]:
+    """The fork transport's segments kept for reuse, as /dev/shm paths."""
+    return sorted(f"/dev/shm/{block.name}" for block in runner.transport._free)
+
+
+def record_lends(runner, monkeypatch) -> list:
+    """Log ``((shard, attempt), segment name)`` for every lend, in order."""
+    transport = runner.transport
+    submit = transport.submit
+    lends = []
+
+    def spy(spec):
+        future = submit(spec)
+        key = (spec.shard, spec.attempt)
+        if key in transport._lent:
+            lends.append((key, transport._lent[key].name))
+        return future
+
+    monkeypatch.setattr(transport, "submit", spy)
+    return lends
 
 
 # ----------------------------------------------------------------------
@@ -196,7 +215,7 @@ def test_byte_identity_survives_schedule(graph, plan, reference, fault_plan):
             for key in ("retries", "timeouts", "worker_deaths", "payload_errors")
         ) or drawn.faults["degraded_ranges"]
         assert injected, "the schedule should have produced observable faults"
-    assert not runner._segments, "segment registry must be empty after close"
+    assert not live_workers(), "no pool worker may outlive close()"
     assert not shm_residue(), "no /dev/shm segment may outlive the runner"
 
 
@@ -233,7 +252,14 @@ def test_fault_counters_classify_the_failure(graph, plan):
 
 @needs_fork
 def test_delay_trips_deadline_and_zombie_segment_is_reclaimed(graph, plan):
-    """A stalled worker times out; its late segment never leaks."""
+    """Regression: a stalled worker times out, and close() must join it.
+
+    ``recycle`` shuts the suspect pool down, which empties the pool's
+    handle map; without a snapshot taken first, close() found no worker
+    to join, and the zombie outlived the runner and created its segment
+    after close().
+    """
+    start = time.monotonic()
     with ShardedRunner(
         graph, Layer.UPPER,
         max_workers=2, timeout_s=0.3, max_retries=1, backoff_base_s=0.0,
@@ -241,25 +267,30 @@ def test_delay_trips_deadline_and_zombie_segment_is_reclaimed(graph, plan):
         with FaultPlan.delay_shards([0], 1.5).active():
             drawn = runner.draw(plan, EPS, entropy=ENTROPY, epoch=0)
         assert drawn.faults["timeouts"] >= 1
-        # close() joins the zombie before the final sweep.
-    assert not runner._segments
+    assert not live_workers(), "close() must join the stalled worker"
+    time.sleep(max(0.0, start + 2.0 - time.monotonic()))  # wait out the delay
     assert not shm_residue()
 
 
 @needs_fork
-def test_kill_after_write_reclaims_orphaned_segment(graph, plan):
-    """Regression: a worker dying between shm.create and the parent's
-    fetch used to leak the segment; the parent-owned name registry now
-    sweeps it on the failure path."""
+def test_kill_after_write_reclaims_orphaned_segment(graph, plan, monkeypatch):
+    """Regression: a worker dying after it wrote its fragment, before the
+    parent heard back, used to leak the segment. The segment lent to the
+    dead dispatch is unlinked during the draw; what stays is exactly the
+    parent's idle segments."""
     with ShardedRunner(
         graph, Layer.UPPER,
         max_workers=2, timeout_s=2.0, max_retries=2, backoff_base_s=0.01,
     ) as runner:
+        lends = record_lends(runner, monkeypatch)
         with FaultPlan.kill_shards([0], after_write=True).active():
             drawn = runner.draw(plan, EPS, entropy=ENTROPY, epoch=0)
-        assert drawn.faults["reclaimed_segments"] >= 1
-        assert not shm_residue(), "orphan must be swept during the draw"
-    assert not runner._segments
+        assert drawn.faults["worker_deaths"] >= 1
+        orphan = f"/dev/shm/{dict(lends)[(0, 0)]}"
+        assert orphan not in shm_residue(), "orphan must go during the draw"
+        assert sorted(shm_residue()) == idle_segments(runner)
+    assert not live_workers()
+    assert not shm_residue()
 
 
 @needs_fork
@@ -306,45 +337,150 @@ def test_close_is_bounded_with_a_wedged_worker(graph, plan, monkeypatch):
         start = time.monotonic()
     elapsed = time.monotonic() - start  # `with` exit ran close()
     assert elapsed < 5.0, "close() must not inherit a wedged worker's hang"
-    assert not runner._segments
+    assert not live_workers()
     assert not shm_residue()
 
 
 @needs_fork
 def test_recurring_faults_do_not_grow_the_segment_registry(graph, plan):
-    """Regression: names registered for dispatches whose worker died
-    before ``shm.create`` stayed in the registry until close(). Retired
-    pools are now reaped once their workers exit, dropping names nobody
-    can ever create, so a long-running server under recurring faults
-    keeps a bounded registry."""
+    """A long-running server under recurring faults keeps bounded state:
+    segments are reused or unlinked, so at most one round's fragment
+    dispatches stay resident, and the next recycle drops the handles of
+    retired workers that have exited."""
     with ShardedRunner(
         graph, Layer.UPPER,
         max_workers=2, timeout_s=2.0, max_retries=2, backoff_base_s=0.0,
     ) as runner:
+        parked = runner.transport._parked
         for _ in range(3):
             with FaultPlan.kill_shards([0]).active():
                 runner.draw(plan, EPS, entropy=ENTROPY, epoch=0)
-        # Give each retired pool's surviving workers a moment to exit,
-        # then reap: nothing may accumulate across faulted draws.
-        deadline = time.monotonic() + 5.0
-        while runner._segments and time.monotonic() < deadline:
-            runner._reap_retired()
-            time.sleep(0.05)
-        assert not runner._segments
-        assert not runner._retired
+            assert len(shm_residue()) <= SHARDS
+            assert sorted(shm_residue()) == idle_segments(runner)
+        exited = list(parked)
+        for proc in exited:
+            proc.join(timeout=5.0)
+        with FaultPlan.kill_shards([0]).active():
+            runner.draw(plan, EPS, entropy=ENTROPY, epoch=0)
+        assert not set(exited) & set(parked), "exited handles must be dropped"
+        assert len(parked) <= runner.max_workers  # one retired pool's worth
+    assert not live_workers()
+    assert not shm_residue()
+
+
+# ----------------------------------------------------------------------
+# Segment ownership: the parent creates, lends and unlinks every segment
+# ----------------------------------------------------------------------
+@needs_fork
+def test_timed_out_segment_is_unlinked_and_never_lent_again(
+    graph, plan, monkeypatch
+):
+    """The segment lent to a stalled dispatch is unlinked at recycle and
+    never lent again; the zombie that wakes later creates nothing."""
+    start = time.monotonic()
+    with ShardedRunner(
+        graph, Layer.UPPER,
+        max_workers=2, timeout_s=0.2, max_retries=1, backoff_base_s=0.0,
+    ) as runner:
+        lends = record_lends(runner, monkeypatch)
+        with FaultPlan.delay_shards([0], 0.8).active():
+            drawn = runner.draw(plan, EPS, entropy=ENTROPY, epoch=0)
+        assert drawn.faults["timeouts"] >= 1
+        stale = dict(lends)[(0, 0)]
+        assert f"/dev/shm/{stale}" not in shm_residue()
+        time.sleep(max(0.0, start + 1.2 - time.monotonic()))  # zombie wakes
+        assert sorted(shm_residue()) == idle_segments(runner)
+        runner.draw(plan, EPS, entropy=ENTROPY, epoch=1)
+        assert [name for _, name in lends].count(stale) == 1
+        assert f"/dev/shm/{stale}" not in idle_segments(runner)
+    assert not live_workers()
     assert not shm_residue()
 
 
 @needs_fork
-def test_genuine_errors_are_not_retried(graph, plan):
-    """A deterministic bug (bad epsilon) propagates instead of retrying."""
+def test_draws_of_a_fixed_plan_create_one_rounds_segments(
+    graph, plan, reference, monkeypatch
+):
+    """Segments are lent again draw after draw: N draws of one plan
+    create at most one segment per fragment dispatch of a round."""
+    created = []
+
+    class CountingSegment(shared_memory.SharedMemory):
+        def __init__(self, name=None, create=False, size=0):
+            super().__init__(name=name, create=create, size=size)
+            if create:
+                created.append(self.name)
+
+    monkeypatch.setattr(shared_memory, "SharedMemory", CountingSegment)
+    with ShardedRunner(graph, Layer.UPPER, max_workers=2) as runner:
+        for _ in range(5):
+            drawn = runner.draw(plan, EPS, entropy=ENTROPY, epoch=0)
+            assert np.array_equal(drawn.columns, reference[1])
+    assert 0 < len(created) <= plan.num_shards
+    assert not shm_residue()
+
+
+@needs_fork
+def test_dropped_transport_unlinks_every_segment(graph, plan):
+    """The GC finalizer of a transport dropped without close() joins its
+    workers and unlinks every segment it still owns."""
+    runner = ShardedRunner(graph, Layer.UPPER, max_workers=2)
+    runner.draw(plan, EPS, entropy=ENTROPY, epoch=0)
+    assert shm_residue(), "idle segments stay for the next draw"
+    del runner
+    assert not shm_residue()
+    assert not live_workers()
+
+
+@needs_fork
+def test_idle_segments_hold_no_pages(graph, plan):
+    """Taking a segment back hands its written pages back to tmpfs, so
+    an idle segment costs neither /dev/shm bytes nor parent RSS."""
+    with ShardedRunner(graph, Layer.UPPER, max_workers=2) as runner:
+        runner.draw(plan, EPS, entropy=ENTROPY, epoch=0)
+        idle = idle_segments(runner)
+        assert idle and sorted(shm_residue()) == idle
+        assert all(os.stat(path).st_blocks == 0 for path in idle)
+    assert not shm_residue()
+
+
+@needs_fork
+def test_two_live_fork_runners_share_no_segment_name(graph, plan, reference):
+    """Segment names carry the transport's token: two fork runners alive
+    in one process never create the same name, so neither sees a
+    spurious fault."""
+    with ShardedRunner(graph, Layer.UPPER, max_workers=2) as first, \
+            ShardedRunner(graph, Layer.UPPER, max_workers=2) as second:
+        for _ in range(2):
+            for runner in (first, second):
+                drawn = runner.draw(plan, EPS, entropy=ENTROPY, epoch=0)
+                assert np.array_equal(drawn.columns, reference[1])
+        assert not set(idle_segments(first)) & set(idle_segments(second))
+        for runner in (first, second):
+            assert sum(runner.fault_totals.values()) == 0
+    assert not live_workers()
+    assert not shm_residue()
+
+
+@needs_fork
+def test_genuine_errors_are_not_retried(graph, plan, reference):
+    """A deterministic bug (bad epsilon) propagates instead of retrying,
+    and leaves the healthy pool serving the next draw."""
     with ShardedRunner(
         graph, Layer.UPPER, max_workers=2, timeout_s=5.0, max_retries=3
     ) as runner:
+        runner.draw(plan, EPS, entropy=ENTROPY, epoch=0)
+        pool = runner.transport._pool_box[0]
         with pytest.raises(PrivacyError):
             runner.draw(plan, -1.0, entropy=ENTROPY, epoch=0)
         assert runner.fault_totals["retries"] == 0
-    assert not runner._segments
+        assert not runner.transport._lent
+        assert sorted(shm_residue()) == idle_segments(runner)
+        drawn = runner.draw(plan, EPS, entropy=ENTROPY, epoch=0)
+        assert runner.transport._pool_box[0] is pool, "no re-fork"
+        assert np.array_equal(drawn.columns, reference[1])
+        assert sum(runner.fault_totals.values()) == 0
+    assert not live_workers()
     assert not shm_residue()
 
 

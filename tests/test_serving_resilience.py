@@ -28,6 +28,8 @@ from repro.graph.generators import random_bipartite
 from repro.protocol.session import ExecutionMode
 from repro.serving import QueryServer, TenantRegistry
 
+from forkcheck import live_workers, shm_residue
+
 EPSILON = 2.0
 
 
@@ -318,10 +320,11 @@ class TestShutdownRace:
 
         server = asyncio.run(run())
         assert server._task is None and server._rotator is None
-        # Whatever rotations ran, none touched the freed runner: the
-        # runner's registry is empty and serving state is consistent.
+        # Whatever rotations ran, none touched the freed runner: it left
+        # no segment and no live worker behind.
         assert server._shard_runner is not None
-        assert not server._shard_runner._segments
+        assert not shm_residue()
+        assert not live_workers()
 
     def test_stop_then_restart_still_serves(self, graph):
         async def run():

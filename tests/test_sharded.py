@@ -252,7 +252,7 @@ class TestShardedRunner:
         from repro.engine import sharded as sharded_mod
 
         runner = ShardedRunner(graph, Layer.UPPER, max_workers=1)
-        token = runner._token
+        token = runner.transport._token
         assert token in sharded_mod._WORKER_CONTEXTS
         del runner
         gc.collect()
