@@ -1,4 +1,4 @@
-"""Ablations of MultiR-DS's design choices (DESIGN.md §7).
+"""Ablations of MultiR-DS's design choices.
 
 Three ablations beyond the paper's own Figs. 8–9:
 

@@ -3,8 +3,8 @@
 The original graphs are fetched from http://konect.cc in the paper; this
 environment is offline, so each dataset is synthesized as a Chung–Lu
 bipartite graph with power-law weights matched to the published
-``|U|, |L|, |E|`` (see DESIGN.md §2 for why this preserves the evaluated
-behaviour). Synthesis is deterministic per dataset.
+``|U|, |L|, |E|``, which keeps the size, density and heavy-tailed degrees
+the evaluation depends on. Synthesis is deterministic per dataset.
 
 Datasets larger than the configured edge budget are **vertex-scaled**: both
 layers shrink by a factor ``s`` and edges by ``s²``, exactly the operation

@@ -21,6 +21,8 @@ from repro.engine.bulkrr import (
     bulk_randomized_response,
     keyed_bulk_randomized_response,
     keyed_sketch_uniforms,
+    pack_rows,
+    packed_randomized_response,
     shard_bulk_randomized_response,
 )
 from repro.engine.core import (
@@ -34,7 +36,6 @@ from repro.engine.pairwise import (
     HAVE_SCIPY,
     choose_backend,
     debias_pair_counts,
-    pack_bitset_row,
     pairwise_intersections,
 )
 from repro.engine.planner import (
@@ -116,9 +117,10 @@ __all__ = [
     "sketch_family",
     "split_cached",
     "workload_party",
-    "pack_bitset_row",
+    "pack_rows",
     "bernoulli_hits",
     "bulk_randomized_response",
+    "packed_randomized_response",
     "keyed_bulk_randomized_response",
     "keyed_sketch_uniforms",
     "shard_bulk_randomized_response",

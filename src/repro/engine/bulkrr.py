@@ -4,23 +4,44 @@ The per-pair protocol perturbs one neighbor list at a time; a batch of
 queries over ``k`` distinct vertices would call
 :meth:`~repro.privacy.mechanisms.RandomizedResponse.perturb_neighbor_list`
 ``k`` times from Python. This module performs the identical perturbation
-for *all* workload vertices in one array-level pass:
+for *all* workload vertices in one array-level pass, in one of two
+output shapes.
 
-1. **Stacked kept-mask** — every true edge of every workload vertex gets
-   its Bernoulli(1-p) keep decision from a single ``rng.random`` draw over
-   the concatenated CSR rows.
-2. **Single complement pass** — the flipped zeros of *all* vertices are
-   one Bernoulli(p) point process over the concatenated complement cells,
-   generated by exact geometric gaps (inverse transform), then mapped back
-   to column ids with one global ``searchsorted``. No rejection, no
-   dedup: the gap representation yields distinct, per-vertex-sorted
-   positions by construction, in work proportional to the output.
+Packed bitset rows (:func:`packed_randomized_response`)
+    The engine's uncached, unsharded materialize batches whose counting
+    backend is ``bitset`` draw here. The true rows are packed into
+    ``np.packbits`` bit rows (:func:`pack_rows`, a bitwise-or scatter),
+    then every cell of the ``k × domain`` tape is flipped by one
+    Bernoulli(p) mask: :func:`bernoulli_hits` over each ~2 MiB row
+    chunk's *full* tape, scattered, packed and XORed onto the true bits.
+    ``edge XOR Bernoulli(p)`` keeps a true edge with probability ``1 - p``
+    and reports a non-edge with probability ``p``, independently per
+    cell — the RR law itself (``docs/privacy-semantics.md``). No sorted
+    lists are ever built, and the bitset counter pops the rows directly.
 
-The output is distribution-identical to the per-vertex loop: per vertex,
-each true edge survives independently with probability ``1 - p``, each
-non-neighbor is reported independently with probability ``p`` (so the
-flip count is the same ``Binomial(domain - d, p)`` and the flipped set a
-uniform subset), and vertices are independent.
+Sorted CSR lists (:func:`bulk_randomized_response`)
+    Every caller that needs lists draws here: the ``merge``/``sparse``
+    counting backends, the unbounded serving cache and the
+    recommendation application.
+
+    1. **Stacked kept-mask** — every true edge of every workload vertex
+       gets its Bernoulli(1-p) keep decision from a single ``rng.random``
+       draw over the concatenated CSR rows.
+    2. **Single complement pass** — the flipped zeros of *all* vertices
+       are one Bernoulli(p) point process over the concatenated
+       complement cells, generated by exact geometric gaps (inverse
+       transform), then mapped back to column ids with one global
+       ``searchsorted``. No rejection, no dedup: the gap representation
+       yields distinct, per-vertex-sorted positions by construction, in
+       work proportional to the output.
+
+Both outputs are distribution-identical to the per-vertex loop: per
+vertex, each true edge survives independently with probability ``1 - p``,
+each non-neighbor is reported independently with probability ``p`` (so
+the flip count is the same ``Binomial(domain - d, p)`` and the flipped set
+a uniform subset), and vertices are independent. The two shared-rng draws
+consume the stream differently, so the same seed gives different bits on
+the two shapes.
 
 Keyed streams (bounded-cache determinism contract)
 --------------------------------------------------
@@ -74,8 +95,10 @@ from repro.privacy.rng import RngLike, ensure_rng
 
 __all__ = [
     "bulk_randomized_response",
+    "packed_randomized_response",
     "bernoulli_hits",
     "gather_rows",
+    "pack_rows",
     "lengths_to_indptr",
     "philox4x64",
     "keyed_bulk_randomized_response",
@@ -95,6 +118,13 @@ __all__ = [
     "KEYED_STAGE_SKETCH_VOC",
     "KEYED_STAGE_SKETCH_HLL",
 ]
+
+
+# Cells of flip mask drawn, scattered and packed at once by
+# packed_randomized_response: constant scratch whatever the batch size.
+_MASK_CHUNK_CELLS = 1 << 21
+# Bit value of each column offset within its byte (np.packbits order).
+_MSB_FIRST_BITS = np.array([128, 64, 32, 16, 8, 4, 2, 1], dtype=np.uint8)
 
 
 def lengths_to_indptr(lengths: np.ndarray) -> np.ndarray:
@@ -124,6 +154,26 @@ def gather_rows(
         + np.repeat(indptr[rows], lengths)
     )
     return sub_indptr, indices[flat]
+
+
+def pack_rows(indptr: np.ndarray, columns: np.ndarray, domain: int) -> np.ndarray:
+    """CSR rows packed into ``(rows, ceil(domain / 8))`` uint8 bit rows.
+
+    Byte-identical to ``np.packbits`` of the dense ``rows × domain``
+    boolean matrix (MSB-first, zero padding bits), but built by one
+    bitwise-or scatter of each column's bit into its byte, so the dense
+    boolean scratch is never allocated. A zero-width domain still gets
+    one (all-zero) byte per row, the shape every bitset consumer expects.
+    """
+    rows = indptr.size - 1
+    width = (max(int(domain), 1) + 7) // 8
+    packed = np.zeros((rows, width), dtype=np.uint8)
+    columns = np.asarray(columns, dtype=np.int64)
+    if columns.size:
+        flat = np.repeat(np.arange(0, rows * width, width), np.diff(indptr))
+        flat += columns >> 3
+        np.bitwise_or.at(packed.reshape(-1), flat, _MSB_FIRST_BITS[columns & 7])
+    return packed
 
 
 def bernoulli_hits(
@@ -283,6 +333,39 @@ def bulk_randomized_response(
         true_cols, seg_indptr, hits - cell_indptr[flip_seg], flip_seg, domain
     )
     return _assemble_noisy_rows(k, domain, deg, true_cols, keep, flip_seg, flip_cols)
+
+
+def packed_randomized_response(
+    graph: BipartiteGraph,
+    layer: Layer,
+    vertices: np.ndarray,
+    epsilon: float,
+    rng: RngLike = None,
+) -> np.ndarray:
+    """Every listed vertex's noisy row as a packed bitset row.
+
+    Returns a ``(len(vertices), ceil(domain / 8))`` uint8 array in the
+    ``np.packbits`` layout (padding bits 0), with the same per-vertex
+    distribution as :func:`bulk_randomized_response`: the packed true row
+    XOR an i.i.d. Bernoulli(p) flip mask over all its ``domain`` cells.
+    The mask is drawn by :func:`bernoulli_hits` over the full tape of
+    ~2 MiB row chunks, so scratch memory stays constant in ``k``.
+    """
+    rng = ensure_rng(rng)
+    p = RandomizedResponse(epsilon).flip_probability
+    k, domain, seg_indptr, true_cols, _ = _workload_rows(graph, layer, vertices)
+    rows = pack_rows(seg_indptr, true_cols, domain)
+    if k == 0 or domain == 0:
+        return rows
+    chunk = max(1, _MASK_CHUNK_CELLS // domain)
+    mask = np.zeros(min(chunk, k) * domain, dtype=bool)
+    for start in range(0, k, chunk):
+        n = min(chunk, k - start)
+        tape = mask[: n * domain]
+        tape[:] = False
+        tape[bernoulli_hits(tape.size, p, rng)] = True
+        rows[start : start + n] ^= np.packbits(tape.reshape(n, domain), axis=1)
+    return rows
 
 
 # ----------------------------------------------------------------------

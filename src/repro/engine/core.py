@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from repro.engine.bulkrr import bulk_randomized_response
+from repro.engine.bulkrr import bulk_randomized_response, packed_randomized_response
 from repro.engine.pairwise import (
     choose_backend,
     debias_pair_counts,
@@ -69,6 +69,39 @@ def workload_party(layer: Layer, num_vertices: int) -> str:
     composition across rounds (RR + degree reports) adds up per vertex.
     """
     return f"{layer.value}:workload[{num_vertices}v]"
+
+
+def _draw_and_count(
+    graph: BipartiteGraph,
+    layer: Layer,
+    vertices: np.ndarray,
+    epsilon: float,
+    rng: np.random.Generator,
+    ia: np.ndarray,
+    ib: np.ndarray,
+    domain: int,
+) -> tuple[np.ndarray, np.ndarray, str]:
+    """One unsharded shared-rng RR draw of ``vertices`` and its pair counts.
+
+    Returns ``(sizes, n1, backend)``: every noisy row's size and every
+    pair's noisy intersection. A ``bitset`` backend draws straight into
+    packed rows (:func:`packed_randomized_response`); the list backends
+    draw sorted CSR rows. Both draws follow the same ε-RR law.
+    """
+    backend = choose_backend(vertices.size, int(ia.size), domain)
+    if backend == "bitset":
+        rows = packed_randomized_response(graph, layer, vertices, epsilon, rng)
+        sizes = np.bitwise_count(rows).sum(axis=1, dtype=np.int64)
+        n1 = pairwise_intersections(
+            None, None, ia, ib, domain, backend=backend, packed=rows
+        )
+    else:
+        indptr, columns = bulk_randomized_response(
+            graph, layer, vertices, epsilon, rng
+        )
+        sizes = np.diff(indptr)
+        n1 = pairwise_intersections(indptr, columns, ia, ib, domain, backend=backend)
+    return sizes, n1, backend
 
 
 @dataclass(frozen=True)
@@ -378,13 +411,9 @@ class BatchQueryEngine:
                 "transport": workload.transport,
             }
         elif mode is ExecutionMode.MATERIALIZE:
-            indptr, columns = bulk_randomized_response(
-                graph, plan.layer, plan.vertices, plan.epsilon, rng
-            )
-            sizes = np.diff(indptr)
-            backend = choose_backend(k, plan.num_pairs, domain)
-            n1 = pairwise_intersections(
-                indptr, columns, plan.ia, plan.ib, domain, backend=backend
+            sizes, n1, backend = _draw_and_count(
+                graph, plan.layer, plan.vertices, plan.epsilon, rng,
+                plan.ia, plan.ib, domain,
             )
             n2 = sizes[plan.ia] + sizes[plan.ib] - n1
         else:
@@ -523,17 +552,11 @@ class BatchQueryEngine:
                     "transport": workload.transport,
                 }
             else:
-                indptr, columns = bulk_randomized_response(
-                    graph, plan.layer, listed, plan.epsilon, rng
-                )
-                li_backend = choose_backend(
-                    listed.size, int(ia_li.size), domain
-                )
-                li_n1 = pairwise_intersections(
-                    indptr, columns, ia_li, ib_li, domain, backend=li_backend
+                sizes, li_n1, li_backend = _draw_and_count(
+                    graph, plan.layer, listed, plan.epsilon, rng,
+                    ia_li, ib_li, domain,
                 )
                 backend = f"sketch-view+{li_backend}"
-                sizes = np.diff(indptr)
             li_n2 = sizes[ia_li] + sizes[ib_li] - li_n1
             n1[~pair_sk] = li_n1
             n2[~pair_sk] = li_n2

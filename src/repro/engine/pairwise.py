@@ -6,7 +6,12 @@ Three interchangeable backends compute exactly the same counts:
 
 * ``bitset`` — rows packed into bit arrays, pairs answered by
   ``popcount(row_a & row_b)`` (:func:`numpy.bitwise_count`); fastest when
-  ``rows × domain`` bits fit comfortably in memory.
+  ``rows × domain`` bits fit comfortably in memory. CSR input is packed
+  by :func:`~repro.engine.bulkrr.pack_rows`; callers that already hold
+  packed rows pass them as ``packed=`` and skip the lists entirely — the
+  engine's uncached materialize batches draw straight into packed rows
+  (:func:`~repro.engine.bulkrr.packed_randomized_response`) and the
+  serving cache keeps each vertex's packed row for the epoch.
 * ``sparse`` — one SciPy CSR product ``A Aᵀ`` gathered at the query
   pairs; wins when the workload is dense in its distinct vertices (many
   pairs per row), e.g. all-pairs projections.
@@ -18,6 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.engine.bulkrr import pack_rows
 from repro.privacy.debias import debias_intersection_counts
 from repro.privacy.mechanisms import flip_probability
 
@@ -31,7 +37,6 @@ __all__ = [
     "PRODUCT_MAX_ROWS",
     "BITSET_MAX_CELLS",
     "choose_backend",
-    "pack_bitset_row",
     "pairwise_intersections",
     "debias_pair_counts",
 ]
@@ -43,19 +48,19 @@ HAVE_BITWISE_COUNT = hasattr(np, "bitwise_count")
 # A @ A.T allocates an output over the workload's distinct-vertex square;
 # beyond this many rows the Gram product is never attempted.
 PRODUCT_MAX_ROWS = 32_768
-# The bitset backend scatters a rows x domain boolean scratch (1 byte per
-# cell) before packing; cap it at ~200 MB.
+# Memory guard on the bitset backend's rows x domain cells (packed at one
+# bit per cell, ~25 MB at the cap).
 BITSET_MAX_CELLS = 200_000_000
-# Pair blocks processed at once by the bitset backend (bounds the gathered
-# packed-row working set).
-_BITSET_PAIR_BLOCK = 16_384
+# Bytes of each gathered packed-row buffer of the bitset backend: pairs are
+# counted in blocks that fill it, so the working set stays cache-sized.
+_BITSET_BLOCK_BYTES = 1 << 18
 
 
 def choose_backend(rows: int, num_pairs: int, domain: int) -> str:
     """Pick the counting backend for a workload shape.
 
-    The thresholds are static memory guards: ``bitset`` while the dense
-    ``rows x domain`` scratch stays under :data:`BITSET_MAX_CELLS`,
+    The thresholds are static memory guards: ``bitset`` while the
+    ``rows x domain`` cells stay under :data:`BITSET_MAX_CELLS`,
     ``sparse`` while the Gram output square stays under
     :data:`PRODUCT_MAX_ROWS` rows *and* the workload is pair-dense, else
     the dependency-free ``merge``. Because they are per-*shape*, a
@@ -94,21 +99,9 @@ def choose_backend(rows: int, num_pairs: int, domain: int) -> str:
     return "merge"
 
 
-def pack_bitset_row(columns: np.ndarray, domain: int) -> np.ndarray:
-    """One sorted neighbor list packed into the bitset backend's row format.
-
-    The epoch cache pre-packs each vertex's noisy row once so repeated
-    serving ticks can hand the bitset backend its ``packed`` block without
-    re-scattering a dense boolean matrix per tick.
-    """
-    row = np.zeros(max(int(domain), 1), dtype=bool)
-    row[np.asarray(columns, dtype=np.int64)] = True
-    return np.packbits(row)
-
-
 def pairwise_intersections(
-    indptr: np.ndarray,
-    columns: np.ndarray,
+    indptr: np.ndarray | None,
+    columns: np.ndarray | None,
     ia: np.ndarray,
     ib: np.ndarray,
     domain: int,
@@ -121,9 +114,10 @@ def pairwise_intersections(
     Rows are the (sorted) CSR neighbor lists; ``ia``/``ib`` hold row
     indices. ``backend=None`` picks via :func:`choose_backend`; all
     backends return identical counts. ``packed`` optionally supplies the
-    bitset backend's pre-packed row matrix (one :func:`pack_bitset_row`
-    per CSR row) so callers holding cached masks skip the packing pass;
-    the other backends ignore it.
+    bitset backend's pre-packed row matrix (the
+    :func:`~repro.engine.bulkrr.pack_rows` layout) so callers holding
+    packed rows skip the packing pass; the other backends ignore it. With
+    ``packed`` and ``backend="bitset"`` the CSR arguments may be ``None``.
     """
     ia = np.asarray(ia, dtype=np.int64)
     ib = np.asarray(ib, dtype=np.int64)
@@ -143,21 +137,27 @@ def pairwise_intersections(
 
 
 def _bitset_intersections(indptr, columns, ia, ib, domain, packed=None) -> np.ndarray:
-    rows = indptr.size - 1
     if packed is None:
-        dense = np.zeros((rows, max(int(domain), 1)), dtype=bool)
-        dense[np.repeat(np.arange(rows), np.diff(indptr)), columns] = True
-        packed = np.packbits(dense, axis=1)
-        del dense
-    elif packed.shape[0] != rows:
+        packed = pack_rows(indptr, columns, domain)
+    elif indptr is not None and packed.shape[0] != indptr.size - 1:
         raise ValueError(
-            f"precomputed mask has {packed.shape[0]} rows, workload has {rows}"
+            f"precomputed mask has {packed.shape[0]} rows, "
+            f"workload has {indptr.size - 1}"
         )
     out = np.empty(ia.size, dtype=np.int64)
-    for start in range(0, ia.size, _BITSET_PAIR_BLOCK):
-        stop = min(start + _BITSET_PAIR_BLOCK, ia.size)
-        both = packed[ia[start:stop]] & packed[ib[start:stop]]
-        out[start:stop] = np.bitwise_count(both).sum(axis=1, dtype=np.int64)
+    width = packed.shape[1]
+    block = max(1, min(ia.size, _BITSET_BLOCK_BYTES // max(width, 1)))
+    # Two buffers reused by every block: a fresh multi-MB temporary per
+    # block would page-fault on every allocation.
+    row_a = np.empty((block, width), dtype=packed.dtype)
+    row_b = np.empty_like(row_a)
+    for start in range(0, ia.size, block):
+        stop = min(start + block, ia.size)
+        a, b = row_a[: stop - start], row_b[: stop - start]
+        np.take(packed, ia[start:stop], axis=0, out=a)
+        np.take(packed, ib[start:stop], axis=0, out=b)
+        np.bitwise_and(a, b, out=a)
+        out[start:stop] = np.bitwise_count(a, out=a).sum(axis=1, dtype=np.int64)
     return out
 
 

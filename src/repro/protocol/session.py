@@ -20,9 +20,10 @@ charges the owning vertex's ledger, and the ledger refuses charges beyond
 the session budget. Communication is logged per message so Fig. 10 can be
 reproduced.
 
-Two execution modes are supported (see DESIGN.md §6): ``materialize``
-perturbs real adjacency rows (complexity-faithful, used for timing and
-fidelity tests); ``sketch`` draws the protocol's sufficient statistics
+Two execution modes are supported (``docs/privacy-semantics.md``,
+"Materialize vs. sketch charging", compares what each releases):
+``materialize`` perturbs real adjacency rows (complexity-faithful, used
+for timing and fidelity tests); ``sketch`` draws the protocol's sufficient statistics
 (S1/S2, N1/N2, noisy sizes) from their exact distributions, which is
 distribution-equivalent and lets error experiments run at full scale. In
 sketch mode the *joint* distribution between a handle's logged size and the

@@ -69,8 +69,8 @@ from repro.engine.bulkrr import (
     keyed_laplace_noise,
     keyed_pair_generator,
     lengths_to_indptr,
+    pack_rows,
 )
-from repro.engine.pairwise import pack_bitset_row
 from repro.engine.planner import plan_shards
 from repro.engine.sharded import ShardedRunner
 from repro.engine.transport import ShardTransport
@@ -452,20 +452,22 @@ class NoisyViewCache:
     def packed_matrix(self, vertices: np.ndarray) -> np.ndarray:
         """The bitset backend's pre-packed row block for ``vertices``.
 
-        Rows are packed once per vertex per epoch and reused by every
-        later tick (the ``packed=`` fast path of
+        Rows are packed once per vertex per epoch (all of a call's
+        unpacked rows in one :func:`~repro.engine.bulkrr.pack_rows` pass)
+        and reused by every later tick (the ``packed=`` fast path of
         :func:`~repro.engine.pairwise.pairwise_intersections`).
         """
-        packed = []
-        for v in vertices:
-            v = int(v)
-            row = self._packed.get(v)
-            if row is None:
-                row = pack_bitset_row(self._rows[v], self.domain)
-                self._packed[v] = row
+        vertices = [int(v) for v in vertices]
+        missing = [v for v in dict.fromkeys(vertices) if v not in self._packed]
+        if missing:
+            rows = [self._rows[v] for v in missing]
+            indptr = lengths_to_indptr(np.array([r.size for r in rows], dtype=np.int64))
+            block = pack_rows(indptr, np.concatenate(rows), self.domain)
+            for v, row in zip(missing, block):
+                # A copy, so an evicted row frees its bytes alone.
+                self._packed[v] = row.copy()
                 self._bytes += row.nbytes
-            packed.append(row)
-        return np.vstack(packed)
+        return np.vstack([self._packed[v] for v in vertices])
 
     # ------------------------------------------------------------------
     # Sketch mode: per-pair sufficient statistics

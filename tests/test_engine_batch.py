@@ -12,10 +12,13 @@ import numpy as np
 import pytest
 
 from repro.applications.ingredients import batch_pair_ingredients
+from repro.engine import bulkrr
 from repro.engine import (
     BatchQueryEngine,
     bernoulli_hits,
     bulk_randomized_response,
+    pack_rows,
+    packed_randomized_response,
     pairwise_intersections,
     plan_workload,
 )
@@ -89,6 +92,22 @@ class TestPlanner:
         assert manager.remaining == pytest.approx(0.0)
 
 
+def _csr_rows(graph, vertices, epsilon, rng) -> list[np.ndarray]:
+    """Noisy rows of ``vertices`` from the sorted-list (CSR) draw."""
+    indptr, cols = bulk_randomized_response(graph, Layer.UPPER, vertices, epsilon, rng)
+    return [cols[indptr[i] : indptr[i + 1]] for i in range(vertices.size)]
+
+
+def _packed_rows(graph, vertices, epsilon, rng) -> list[np.ndarray]:
+    """Noisy rows of ``vertices`` from the packed-bitset draw, unpacked."""
+    rows = packed_randomized_response(graph, Layer.UPPER, vertices, epsilon, rng)
+    bits = np.unpackbits(rows, axis=1, count=graph.num_lower)
+    return [np.flatnonzero(row) for row in bits]
+
+
+DRAWS = pytest.mark.parametrize("draw", [_csr_rows, _packed_rows], ids=["csr", "packed"])
+
+
 class TestBulkRandomizedResponse:
     def test_rows_sorted_unique_in_domain(self, graph):
         vertices = np.arange(graph.num_upper)
@@ -100,7 +119,8 @@ class TestBulkRandomizedResponse:
                 assert (np.diff(row) > 0).all()
                 assert row[0] >= 0 and row[-1] < graph.num_lower
 
-    def test_matches_per_vertex_distribution(self, graph):
+    @DRAWS
+    def test_matches_per_vertex_distribution(self, graph, draw):
         """Row-size mean/variance agree with perturb_neighbor_list."""
         rr = RandomizedResponse(1.0)
         vertices = np.arange(20)
@@ -109,10 +129,9 @@ class TestBulkRandomizedResponse:
         bulk_sizes = np.empty((trials, vertices.size))
         ref_sizes = np.empty((trials, vertices.size))
         for t in range(trials):
-            indptr, _ = bulk_randomized_response(
-                graph, Layer.UPPER, vertices, 1.0, bulk_rng
-            )
-            bulk_sizes[t] = np.diff(indptr)
+            bulk_sizes[t] = [
+                row.size for row in draw(graph, vertices, 1.0, bulk_rng)
+            ]
             ref_sizes[t] = [
                 rr.perturb_neighbor_list(
                     graph.neighbors(Layer.UPPER, v), graph.num_lower, ref_rng
@@ -127,13 +146,12 @@ class TestBulkRandomizedResponse:
         ratio = bulk_sizes.var(axis=0, ddof=1) / ref_sizes.var(axis=0, ddof=1)
         assert (0.6 < ratio).all() and (ratio < 1.7).all()
 
-    def test_huge_epsilon_returns_true_rows(self, graph):
+    @DRAWS
+    def test_huge_epsilon_returns_true_rows(self, graph, draw):
         vertices = np.arange(10)
-        indptr, cols = bulk_randomized_response(graph, Layer.UPPER, vertices, 60.0, rng=1)
-        for i, v in enumerate(vertices):
-            np.testing.assert_array_equal(
-                cols[indptr[i] : indptr[i + 1]], graph.neighbors(Layer.UPPER, v)
-            )
+        rows = draw(graph, vertices, 60.0, np.random.default_rng(1))
+        for row, v in zip(rows, vertices):
+            np.testing.assert_array_equal(row, graph.neighbors(Layer.UPPER, v))
 
     def test_empty_vertex_list(self, graph):
         indptr, cols = bulk_randomized_response(
@@ -144,6 +162,117 @@ class TestBulkRandomizedResponse:
     def test_out_of_range_vertex(self, graph):
         with pytest.raises(GraphError):
             bulk_randomized_response(graph, Layer.UPPER, np.array([999]), 1.0, rng=0)
+        with pytest.raises(GraphError):
+            packed_randomized_response(graph, Layer.UPPER, np.array([999]), 1.0, rng=0)
+
+
+class TestPackedRows:
+    @pytest.mark.parametrize("domain", [1, 7, 8, 13, 64, 301])
+    def test_pack_rows_is_packbits_of_the_dense_rows(self, domain):
+        rng = np.random.default_rng(domain)
+        rows = 25
+        lengths = rng.integers(0, domain + 1, rows)
+        lengths[3] = 0  # an empty row among full ones
+        columns = np.concatenate(
+            [np.sort(rng.choice(domain, n, replace=False)) for n in lengths]
+        ).astype(np.int64)
+        indptr = np.concatenate(([0], np.cumsum(lengths)))
+        dense = np.zeros((rows, domain), dtype=bool)
+        dense[np.repeat(np.arange(rows), lengths), columns] = True
+        packed = pack_rows(indptr, columns, domain)
+        assert packed.dtype == np.uint8
+        np.testing.assert_array_equal(packed, np.packbits(dense, axis=1))
+
+    def test_pack_rows_degenerate_shapes(self):
+        empty = pack_rows(np.zeros(1, dtype=np.int64), np.empty(0, dtype=np.int64), 9)
+        assert empty.shape == (0, 2)
+        zero_width = pack_rows(np.zeros(4, dtype=np.int64), np.empty(0, dtype=np.int64), 0)
+        assert zero_width.shape == (3, 1) and not zero_width.any()
+
+    @pytest.mark.parametrize("epsilon", [0.5, 2.0])
+    def test_padding_bits_stay_zero_and_sizes_are_popcounts(self, graph, epsilon):
+        """A 60-column domain leaves 4 padding bits per row: they stay 0,
+        so the engine's popcount row sizes equal the unpacked row sizes."""
+        assert graph.num_lower % 8
+        vertices = np.tile(np.arange(graph.num_upper), 5)
+        rows = packed_randomized_response(
+            graph, Layer.UPPER, vertices, epsilon, np.random.default_rng(4)
+        )
+        assert rows.shape == (vertices.size, (graph.num_lower + 7) // 8)
+        bits = np.unpackbits(rows, axis=1)
+        assert not bits[:, graph.num_lower :].any()
+        sizes = np.bitwise_count(rows).sum(axis=1, dtype=np.int64)
+        np.testing.assert_array_equal(sizes, bits[:, : graph.num_lower].sum(axis=1))
+
+    def test_row_chunks_draw_independent_masks(self):
+        """Rows past the first ~2 MiB chunk get fresh mask cells: every
+        pair of rows disagrees on ~2p(1-p) of the cells, within and
+        across chunks."""
+        domain = bulkrr._MASK_CHUNK_CELLS // 4  # four rows per chunk
+        graph = BipartiteGraph(1, domain, [(0, c) for c in range(0, domain, 3)])
+        rows = packed_randomized_response(
+            graph, Layer.UPPER, np.zeros(10, dtype=np.int64), 1.0,
+            np.random.default_rng(6),
+        )
+        p = RandomizedResponse(1.0).flip_probability
+        expected = 2.0 * p * (1.0 - p) * domain
+        for i in range(rows.shape[0]):
+            for j in range(i):
+                differ = int(np.bitwise_count(rows[i] ^ rows[j]).sum())
+                assert abs(differ - expected) < 6.0 * np.sqrt(expected)
+
+    def test_empty_vertex_list(self, graph):
+        rows = packed_randomized_response(
+            graph, Layer.UPPER, np.empty(0, dtype=np.int64), 1.0, rng=0
+        )
+        assert rows.shape == (0, (graph.num_lower + 7) // 8)
+
+    def test_bitset_batches_never_draw_lists(self, graph, workload, monkeypatch):
+        """An uncached, unsharded bitset batch takes the packed draw only."""
+        import repro.engine.core as core
+
+        def no_lists(*_args, **_kwargs):
+            raise AssertionError("CSR draw on a bitset batch")
+
+        monkeypatch.setattr(core, "bulk_randomized_response", no_lists)
+        result = BatchQueryEngine(mode=ExecutionMode.MATERIALIZE).estimate_pairs(
+            graph, Layer.UPPER, workload, 2.0, rng=1
+        )
+        assert result.details["backend"] == "bitset"
+
+    @pytest.mark.parametrize("epsilon", [1.0, 4.0])
+    def test_engine_counts_match_the_csr_draw(self, graph, workload, epsilon):
+        """Two-sample check of the engine's packed branch against the CSR
+        draw + bitset count: per-pair N1/N2 means and variances agree
+        within 5 standard errors."""
+        plan = plan_workload(graph, Layer.UPPER, workload, epsilon)
+        engine = BatchQueryEngine(mode=ExecutionMode.MATERIALIZE)
+        engine_rng, ref_rng = np.random.default_rng(21), np.random.default_rng(22)
+        trials = 400
+        got = np.empty((2, trials, plan.num_pairs))
+        ref = np.empty((2, trials, plan.num_pairs))
+        for t in range(trials):
+            result = engine.estimate_pairs(
+                graph, Layer.UPPER, workload, epsilon, rng=engine_rng
+            )
+            assert result.details["backend"] == "bitset"
+            got[:, t] = result.noisy_intersections, result.noisy_unions
+            indptr, cols = bulk_randomized_response(
+                graph, Layer.UPPER, plan.vertices, epsilon, ref_rng
+            )
+            n1 = pairwise_intersections(
+                indptr, cols, plan.ia, plan.ib, graph.num_lower, backend="bitset"
+            )
+            sizes = np.diff(indptr)
+            ref[:, t] = n1, sizes[plan.ia] + sizes[plan.ib] - n1
+        for a, b in zip(got, ref):
+            se = np.sqrt((a.var(axis=0) + b.var(axis=0)) / trials)
+            assert (np.abs(a.mean(axis=0) - b.mean(axis=0)) <= 5.0 * se + 1e-9).all()
+            sq_a = (a - a.mean(axis=0)) ** 2
+            sq_b = (b - b.mean(axis=0)) ** 2
+            se_var = np.sqrt((sq_a.var(axis=0) + sq_b.var(axis=0)) / trials)
+            diff_var = np.abs(sq_a.mean(axis=0) - sq_b.mean(axis=0))
+            assert (diff_var <= 5.0 * se_var + 1e-9).all()
 
 
 class TestBernoulliHits:

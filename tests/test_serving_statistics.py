@@ -3,8 +3,9 @@
 Three layers of evidence, all seeded so runs are reproducible:
 
 1. **Distributional** — chi-square goodness-of-fit of the engine's bulk
-   RR output (stacked kept-mask + geometric-gap complement sampling)
-   against the enumerated per-bit RR law over small universes, and of the
+   RR output (stacked kept-mask + geometric-gap complement sampling, and
+   the packed rows' full-tape XOR flip mask) against the enumerated
+   per-bit RR law over small universes, and of the
    materialize/sketch pairwise ``N1`` samples against the exact
    4-binomial-convolution law.
 2. **Cache determinism** — within one epoch a cache hit replays the
@@ -27,7 +28,11 @@ from hypothesis import strategies as st
 from scipy import stats as sps
 
 from repro.analysis.loss import oner_variance
-from repro.engine.bulkrr import bulk_randomized_response, keyed_bulk_randomized_response
+from repro.engine.bulkrr import (
+    bulk_randomized_response,
+    keyed_bulk_randomized_response,
+    packed_randomized_response,
+)
 from repro.engine.core import BatchQueryEngine
 from repro.engine.pairwise import pairwise_intersections
 from repro.engine.sketch import sketch_pair_counts
@@ -70,14 +75,40 @@ def rr_universes(draw):
     return domain, tuple(sorted(neighbors)), epsilon
 
 
+def _csr_outcomes(graph, trials, epsilon, rng) -> np.ndarray:
+    """Report-set code (bit c = column c reported) of each sorted-list draw."""
+    indptr, columns = bulk_randomized_response(
+        graph, Layer.UPPER, np.zeros(trials, dtype=np.int64), epsilon, rng
+    )
+    segment = np.repeat(np.arange(trials), np.diff(indptr))
+    return np.bincount(
+        segment, weights=2.0 ** columns, minlength=trials
+    ).astype(np.int64)
+
+
+def _packed_outcomes(graph, trials, epsilon, rng) -> np.ndarray:
+    """Report-set code of each packed-row draw (padding bits must be 0)."""
+    rows = packed_randomized_response(
+        graph, Layer.UPPER, np.zeros(trials, dtype=np.int64), epsilon, rng
+    )
+    bits = np.unpackbits(rows, axis=1)
+    domain = graph.num_lower
+    assert not bits[:, domain:].any()
+    return bits[:, :domain].astype(np.int64) @ (1 << np.arange(domain))
+
+
 class TestBulkRRLaw:
+    @pytest.mark.parametrize(
+        "outcomes", [_csr_outcomes, _packed_outcomes], ids=["csr", "packed"]
+    )
     @seed(20260727)
     @settings(max_examples=8, deadline=None)
     @given(rr_universes())
-    def test_outcome_distribution_matches_enumeration(self, params):
+    def test_outcome_distribution_matches_enumeration(self, outcomes, params):
         """Every one of the 2^domain report sets occurs at its exact
-        product-of-per-bit-laws probability (kept-mask for true edges,
-        geometric-gap complement pass for the flips)."""
+        product-of-per-bit-laws probability, on both draw shapes (CSR:
+        kept-mask for true edges, geometric-gap complement pass for the
+        flips; packed: the true bits XOR a full-tape flip mask)."""
         domain, neighbors, epsilon = params
         graph = BipartiteGraph(1, domain, [(0, v) for v in neighbors])
         trials = 4000
@@ -85,15 +116,10 @@ class TestBulkRRLaw:
             abs(hash((domain, neighbors, epsilon))) % 2**32
         )
         # One bulk call with the vertex repeated = `trials` independent
-        # draws of its noisy list, all through the vectorized path.
-        indptr, columns = bulk_randomized_response(
-            graph, Layer.UPPER, np.zeros(trials, dtype=np.int64), epsilon, rng
+        # draws of its noisy row, all through the vectorized path.
+        observed = np.bincount(
+            outcomes(graph, trials, epsilon, rng), minlength=2**domain
         )
-        segment = np.repeat(np.arange(trials), np.diff(indptr))
-        outcomes = np.bincount(
-            segment, weights=2.0 ** columns, minlength=trials
-        ).astype(np.int64)
-        observed = np.bincount(outcomes, minlength=2**domain)
 
         p = flip_probability(epsilon)
         probs = np.empty(2**domain)
@@ -254,6 +280,24 @@ class TestCacheBitIdentity:
         assert second.details["cache"]["misses"] == 0
         assert second.details["cache"]["charged_vertices"] == 0
         assert second.upload_bytes == 0
+
+    def test_packed_rows_are_packbits_of_the_cached_rows(self):
+        """The cache's per-vertex packed rows, packed in one batched pass,
+        are byte-identical to ``np.packbits`` of the dense cached rows."""
+        graph = random_bipartite(40, 29, 320, rng=5)
+        cache = NoisyViewCache(
+            graph, Layer.UPPER, 2.0, mode=ExecutionMode.MATERIALIZE
+        )
+        cache.materialize_fresh(np.arange(40), rng=1)
+        vertices = np.array([3, 3, 0, 39, 17], dtype=np.int64)
+        indptr, columns = cache.gather_views(vertices)
+        dense = np.zeros((vertices.size, 29), dtype=bool)
+        dense[np.repeat(np.arange(vertices.size), np.diff(indptr)), columns] = True
+        packed = cache.packed_matrix(vertices)
+        assert packed.dtype == np.uint8
+        np.testing.assert_array_equal(packed, np.packbits(dense, axis=1))
+        # Served again from the per-vertex store: still the same bytes.
+        np.testing.assert_array_equal(cache.packed_matrix(vertices), packed)
 
     def test_sketch_cache_is_symmetric_in_pair_order(self):
         graph = random_bipartite(30, 25, 200, rng=11)
